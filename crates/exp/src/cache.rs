@@ -44,13 +44,12 @@ use std::sync::Mutex;
 ///
 /// See the module docs for the canonical document this hashes. The config
 /// is canonicalized first: knobs that only choose *how* the run executes —
-/// scheduler selection (`force_naive_loop`, `force_serial`, `sim_threads`)
-/// and phase profiling (`profile_phases`) — are zeroed before hashing,
-/// because every such combination produces byte-identical reports (the
-/// determinism and parallel-equivalence suites pin this). Hashing them
-/// would fragment the cache into copies of the same bytes and turn a warm
-/// hit into a cold re-simulation whenever a client merely changes thread
-/// count.
+/// the naive-loop oracle (`force_naive_loop`), host profiling
+/// (`profile_host`) and the thread knob (`sim_threads`, 0 or 1) — are
+/// reset before hashing, because every such combination produces
+/// byte-identical reports (the determinism and event-core suites pin
+/// this). Hashing them would fragment the cache into copies of the same
+/// bytes and turn a warm hit into a cold re-simulation.
 pub fn job_key(config_label: &str, cfg: &GpuConfig, wl: &WorkloadSpec) -> u64 {
     let cfg = canonical_cfg(cfg);
     let mut h = StableHasher::new();
@@ -72,9 +71,7 @@ pub fn job_key(config_label: &str, cfg: &GpuConfig, wl: &WorkloadSpec) -> u64 {
 fn canonical_cfg(cfg: &GpuConfig) -> GpuConfig {
     let mut c = cfg.clone();
     c.force_naive_loop = false;
-    c.profile_phases = false;
     c.profile_host = false;
-    c.force_serial = false;
     c.sim_threads = 0;
     c
 }
@@ -295,13 +292,10 @@ mod tests {
         c.force_naive_loop = true;
         assert_eq!(base, job_key("base", &c, &wl));
         let mut c = cfg.clone();
-        c.force_serial = true;
+        c.sim_threads = 1;
         assert_eq!(base, job_key("base", &c, &wl));
         let mut c = cfg.clone();
-        c.sim_threads = 8;
-        assert_eq!(base, job_key("base", &c, &wl));
-        let mut c = cfg.clone();
-        c.profile_phases = true;
+        c.profile_host = true;
         assert_eq!(base, job_key("base", &c, &wl));
     }
 

@@ -146,14 +146,6 @@ impl Crossbar {
         self.request.cycle();
         self.reply.cycle();
     }
-
-    /// Splits the crossbar into its `(request, reply)` networks. The
-    /// parallel scheduler owns the two networks in separate tick domains
-    /// (they share no state; `cycle` above just steps both), so the
-    /// sharded simulator stores them independently.
-    pub fn into_parts(self) -> (Network, Network) {
-        (self.request, self.reply)
-    }
 }
 
 #[cfg(test)]

@@ -50,28 +50,26 @@ const BANNED: &[(&str, &str, bool)] = &[
         "hasher randomization is per-process nondeterminism; use BTreeMap or a fixed hasher",
         false,
     ),
-    // Shared-mutable-state primitives. The parallel scheduler is
-    // ownership-passing by design (core/src/par.rs: shards move over
-    // channels, exclusively owned wherever they are mutated); a lock in
-    // model code means two threads can observe the same state under an
-    // OS-scheduled interleaving — exactly the nondeterminism R1 exists to
-    // keep out of the cycle accounting.
+    // Shared-mutable-state primitives. A simulation is owned by the one
+    // thread that runs it; a lock in model code means two threads can
+    // observe the same state under an OS-scheduled interleaving — exactly
+    // the nondeterminism R1 exists to keep out of the cycle accounting.
     (
         "Mutex",
-        "model state must be moved, not shared: pass ownership over channels (see \
-         core/src/par.rs); lock-protected state admits scheduler-dependent interleavings",
+        "model state is owned by the thread that runs the simulation, never shared; \
+         lock-protected state admits scheduler-dependent interleavings",
         false,
     ),
     (
         "RwLock",
-        "model state must be moved, not shared: pass ownership over channels (see \
-         core/src/par.rs); lock-protected state admits scheduler-dependent interleavings",
+        "model state is owned by the thread that runs the simulation, never shared; \
+         lock-protected state admits scheduler-dependent interleavings",
         false,
     ),
     (
         "Condvar",
-        "express barriers as channel receives (ParPool::collect blocks until every shard \
-         is home), never ad-hoc condition variables over shared state",
+        "model code has no cross-thread barriers; condition variables over shared \
+         state admit scheduler-dependent interleavings",
         false,
     ),
 ];

@@ -11,6 +11,5 @@ pub mod determinism;
 pub mod events;
 pub mod panics;
 pub mod queues;
-pub mod shards;
 pub mod stalls;
 pub mod units;

@@ -484,11 +484,9 @@ fn apply_override(
         "l2_response_queue" => cfg.l2_response_queue = as_count(v)?,
         "warps_per_core" => wl.warps_per_core = as_count(v)?,
         "insts_per_warp" => wl.insts_per_warp = v,
-        // Execution-only knob: results are byte-identical at any width
-        // (the parallel-equivalence suite pins this) and the cache key
-        // ignores it, so a job can request parallel simulation without
-        // fragmenting the result cache. Clamped to the machine's shardable
-        // width at run time.
+        // Execution-only knob, kept for existing clients: `GpuConfig::validate`
+        // accepts only 0 and 1 (a simulation runs on one thread), and the
+        // cache key ignores it.
         "sim_threads" => cfg.sim_threads = as_count(v)?,
         _ => {
             return Err(format!(
@@ -587,12 +585,21 @@ mod tests {
     }
 
     #[test]
-    fn sim_threads_override_requests_parallel_execution() {
-        let line = job_line("mm", None, None, &[("sim_threads".into(), 4)], false);
+    fn sim_threads_override_accepts_only_one_thread() {
+        let line = job_line("mm", None, None, &[("sim_threads".into(), 1)], false);
         let Ok(Request::Job(job)) = parse_request(&line) else {
-            panic!("job with sim_threads should parse: {line}");
+            panic!("job with sim_threads = 1 should parse: {line}");
         };
-        assert_eq!(job.config.sim_threads, 4);
+        assert_eq!(job.config.sim_threads, 1);
+        let line = job_line("mm", None, None, &[("sim_threads".into(), 4)], false);
+        let err = match parse_request(&line) {
+            Err(e) => e,
+            Ok(_) => panic!("sim_threads = 4 must be refused: {line}"),
+        };
+        assert!(
+            err.contains("GMH_THREADS"),
+            "names job-level parallelism: {err}"
+        );
     }
 
     #[test]

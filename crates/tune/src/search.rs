@@ -49,8 +49,9 @@ pub struct TuneParams {
     pub max_area_pct: f64,
     /// Shrink workloads (fewer warps, shorter kernels) for smoke tests.
     pub shrink: bool,
-    /// Intra-simulation shard width (0 = leave the config default). The
-    /// cache key canonicalizes this away, so any width shares entries.
+    /// Threads per simulation: only `0` and `1` are valid, and both mean
+    /// one. Kept because existing callers set it; the search parallelizes
+    /// across jobs (`GMH_THREADS`), never inside one.
     pub sim_threads: usize,
 }
 
@@ -112,6 +113,13 @@ impl TuneParams {
         }
         if !self.max_area_pct.is_finite() {
             return Err("max_area_pct must be finite".into());
+        }
+        if self.sim_threads > 1 {
+            return Err(format!(
+                "sim_threads = {} is not supported: searches run jobs in \
+                 parallel instead (GMH_THREADS sets the job width)",
+                self.sim_threads
+            ));
         }
         Ok(())
     }
@@ -183,12 +191,9 @@ struct Scored {
     per_wl: Vec<f64>,
 }
 
-/// Drops execution knobs onto a geometry config for one run length.
-fn runnable(mut cfg: GpuConfig, run_cycles: u64, sim_threads: usize) -> GpuConfig {
+/// Sets the run length on a geometry config.
+fn runnable(mut cfg: GpuConfig, run_cycles: u64) -> GpuConfig {
     cfg.max_core_cycles = run_cycles;
-    if sim_threads > 0 {
-        cfg.sim_threads = sim_threads;
-    }
     cfg
 }
 
@@ -263,10 +268,7 @@ pub fn run_search(cache: &DiskCache, p: &TuneParams) -> io::Result<TuneOutcome> 
             }
             *evals += need;
             stage_evals += need;
-            let base = Candidate::new(
-                "base",
-                runnable(baseline_geom.clone(), run_cycles, p.sim_threads),
-            );
+            let base = Candidate::new("base", runnable(baseline_geom.clone(), run_cycles));
             let jobs: Vec<(&Candidate, &WorkloadSpec)> = mix.iter().map(|wl| (&base, wl)).collect();
             let runs = ev.eval_batch(&jobs)?;
             slot.insert(
@@ -285,12 +287,7 @@ pub fn run_search(cache: &DiskCache, p: &TuneParams) -> io::Result<TuneOutcome> 
         };
         let cands: Vec<Candidate> = cohort
             .iter()
-            .map(|g| {
-                Candidate::new(
-                    space.label(g),
-                    runnable(space.config(g), run_cycles, p.sim_threads),
-                )
-            })
+            .map(|g| Candidate::new(space.label(g), runnable(space.config(g), run_cycles)))
             .collect();
         let jobs: Vec<(&Candidate, &WorkloadSpec)> = cands
             .iter()
@@ -477,6 +474,11 @@ mod tests {
         assert!(p.validate().is_err());
         let mut p = TuneParams::smoke();
         p.full_cycles = p.screen_cycles - 1;
+        assert!(p.validate().is_err());
+        let mut p = TuneParams::smoke();
+        p.sim_threads = 1;
+        assert!(p.validate().is_ok());
+        p.sim_threads = 2;
         assert!(p.validate().is_err());
         assert!(TuneParams::smoke().validate().is_ok());
         assert!(TuneParams::paper().validate().is_ok());
